@@ -226,7 +226,7 @@ impl QuaestorServer {
     /// bound applies to replica reads verbatim. Returns `true` if the
     /// record changed state, `false` for stale duplicates (version-keyed
     /// replay makes re-delivery a no-op). Frame persistence is separate:
-    /// the replication session appends to the WAL via
+    /// the replication session appends the batch to the WAL via
     /// [`DurabilityEngine::append_replicated`] *before* applying here.
     pub fn apply_replicated(&self, record: &WalRecord) -> Result<bool> {
         match record {
@@ -1157,8 +1157,9 @@ mod tests {
         let src = primary.durability().unwrap();
         let dst = replica.durability().unwrap();
         let frames = src.read_frames_after(0, 1024).unwrap();
-        for (lsn, record) in &frames {
-            assert!(dst.append_replicated(*lsn, record).unwrap());
+        let batch = dst.append_replicated(frames.clone()).unwrap();
+        assert_eq!(batch.fresh, frames);
+        for (_, record) in &batch.fresh {
             replica.apply_replicated(record).unwrap();
         }
         assert_eq!(dst.last_lsn(), src.last_lsn());
@@ -1178,9 +1179,9 @@ mod tests {
             .update("posts", "p1", &Update::new().push("tags", "fresh"))
             .unwrap();
         let after = src.last_lsn();
-        for (lsn, record) in src.read_frames_after(dst.last_lsn(), 1024).unwrap() {
-            dst.append_replicated(lsn, &record).unwrap();
-            replica.apply_replicated(&record).unwrap();
+        let frames = src.read_frames_after(dst.last_lsn(), 1024).unwrap();
+        for (_, record) in &dst.append_replicated(frames).unwrap().fresh {
+            replica.apply_replicated(record).unwrap();
         }
         assert_eq!(dst.last_lsn(), after);
         let (flat, _) = replica.ebf_snapshot();
@@ -1195,12 +1196,11 @@ mod tests {
         // replay alone is not enough: replaying an insert whose delete
         // came later would resurrect the record.)
         let before = replica.database().total_records();
-        for (lsn, record) in src.read_frames_after(0, 1024).unwrap() {
-            let fresh = dst.append_replicated(lsn, &record).unwrap();
-            assert!(!fresh, "lsn {lsn} must be a duplicate");
-            if fresh {
-                replica.apply_replicated(&record).unwrap();
-            }
+        let frames = src.read_frames_after(0, 1024).unwrap();
+        let batch = dst.append_replicated(frames).unwrap();
+        assert!(batch.fresh.is_empty(), "every lsn must be a duplicate");
+        for (_, record) in &batch.fresh {
+            replica.apply_replicated(record).unwrap();
         }
         assert_eq!(replica.database().total_records(), before);
 

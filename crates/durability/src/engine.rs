@@ -17,8 +17,9 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use quaestor_common::{lock_rank, Error, FxHashMap, Result, Timestamp};
 use quaestor_query::{Query, QueryKey};
 use quaestor_store::{Database, WriteEvent, WriteSink};
@@ -26,7 +27,7 @@ use quaestor_store::{Database, WriteEvent, WriteSink};
 use crate::codec::WalRecord;
 use crate::config::DurabilityConfig;
 use crate::snapshot::{self, SnapshotData, SnapshotRecord, SnapshotTable};
-use crate::wal::{self, Wal};
+use crate::wal::{self, TailCursor, Wal};
 
 /// Statistics of one recovery pass (reported, not interpreted).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -212,11 +213,25 @@ struct EngineState {
     frames_since_snapshot: u64,
 }
 
+/// What [`DurabilityEngine::append_replicated`] made of a shipped batch.
+#[derive(Debug)]
+pub struct ReplicatedAppend {
+    /// Highest LSN durable on disk when the call returned: what the
+    /// replica acks.
+    pub durable_lsn: u64,
+    /// The frames the log accepted, in order (duplicates left out).
+    /// Exactly these are applied to served state.
+    pub fresh: Vec<(u64, WalRecord)>,
+}
+
 /// The write-ahead-logging, snapshotting [`WriteSink`].
 pub struct DurabilityEngine {
     dir: PathBuf,
     config: DurabilityConfig,
     state: Mutex<EngineState>,
+    /// Notified whenever frames are written out to the segment files;
+    /// replication tailers park on it (paired with `state`).
+    frames_written: Condvar,
     /// The held `LOCK` file; removed on drop so the directory can be
     /// reopened (a crashed process leaves it behind — staleness is
     /// detected via the recorded pid).
@@ -373,6 +388,7 @@ impl DurabilityEngine {
                 lock_rank::DURABILITY_WAL.0,
                 lock_rank::DURABILITY_WAL.1,
             ),
+            frames_written: Condvar::new(),
             snapshot_gate: Mutex::with_rank(
                 (),
                 lock_rank::DURABILITY_SNAPSHOT_GATE.0,
@@ -403,62 +419,114 @@ impl DurabilityEngine {
         self.state.lock().wal.durable()
     }
 
-    /// Read up to `max` frames with LSN above `after_lsn` straight from
-    /// the segment files (lock-free; see [`wal::read_frames_after`]).
-    /// The replication tailer's read path: only frames the group-commit
+    /// Read up to `max` frames past `cursor` straight from the segment
+    /// files and advance it (lock-free; see [`TailCursor::read`]). The
+    /// replication tailer's read path: only frames the group-commit
     /// buffer has written out are visible, so a replica can never be
     /// ahead of the primary's own disk.
-    pub fn read_frames_after(&self, after_lsn: u64, max: usize) -> Result<Vec<(u64, WalRecord)>> {
-        wal::read_frames_after(&self.dir.join("wal"), after_lsn, max)
+    pub fn read_tail(&self, cursor: &mut TailCursor, max: usize) -> Result<Vec<(u64, WalRecord)>> {
+        cursor.read(&self.dir.join("wal"), max)
     }
 
-    /// Append a frame shipped from a replication primary, preserving its
-    /// LSN (possible because [`Wal`] assigns LSNs sequentially: applying
-    /// the primary's frames in order reproduces its numbering exactly).
-    /// Returns `Ok(false)` for a duplicate (`lsn` ≤ the log's last LSN —
-    /// reconnection re-sends are no-ops) and an error for a gap
-    /// (`lsn > last + 1`): frames must arrive in order.
-    pub fn append_replicated(&self, lsn: u64, record: &WalRecord) -> Result<bool> {
+    /// [`read_tail`](Self::read_tail) from a fresh cursor after `after_lsn`.
+    pub fn read_frames_after(&self, after_lsn: u64, max: usize) -> Result<Vec<(u64, WalRecord)>> {
+        self.read_tail(&mut TailCursor::after(after_lsn), max)
+    }
+
+    /// Park until frames past `seen` have been written out to the
+    /// segment files, or until `timeout` elapses; returns the highest
+    /// written LSN. A tailer passes the value the previous call
+    /// returned, so a write that lands between its read and this call
+    /// is never missed, and a frame it cannot read yet does not make it
+    /// spin.
+    pub fn await_written(&self, seen: u64, timeout: Duration) -> u64 {
         let mut state = self.state.lock();
-        let last = state.wal.last_lsn();
-        if lsn <= last {
-            return Ok(false);
+        if state.wal.written() <= seen {
+            self.frames_written.wait_for(&mut state, timeout);
         }
-        if lsn > last + 1 {
-            return Err(Error::Io(format!(
-                "replication gap: got frame lsn {lsn}, log ends at {last}"
-            )));
+        state.wal.written()
+    }
+
+    /// Wake every tailer parked in [`await_written`](Self::await_written)
+    /// now, so a stopping node's sessions notice at once.
+    pub fn wake_tailers(&self) {
+        drop(self.state.lock());
+        self.frames_written.notify_all();
+    }
+
+    /// Run `f` on the locked state, then wake every parked tailer if it
+    /// wrote frames out. Every path that can drain the group-commit
+    /// buffer goes through here.
+    fn write_locked<R>(&self, f: impl FnOnce(&mut EngineState) -> R) -> R {
+        let mut state = self.state.lock();
+        let written = state.wal.written();
+        let out = f(&mut state);
+        if state.wal.written() != written {
+            self.frames_written.notify_all();
         }
-        let assigned = state.wal.append(record)?;
-        if assigned != lsn {
-            return Err(Error::Io(format!(
-                "replication lsn mismatch: wal assigned {assigned}, frame says {lsn}"
-            )));
-        }
-        state.frames_since_snapshot += 1;
-        // Mirror the same bookkeeping the primary's sink methods keep, so
-        // a promoted replica snapshots the full query/tombstone state.
-        match record {
-            WalRecord::Write {
-                table,
-                id,
-                kind: quaestor_store::WriteKind::Delete,
-                at,
-                ..
-            } => {
-                state.tombstones.push((table.clone(), id.clone(), *at));
+        out
+    }
+
+    /// Append a batch of frames shipped from a replication primary,
+    /// preserving their LSNs (possible because [`Wal`] assigns LSNs
+    /// sequentially: staging the primary's frames in order reproduces its
+    /// numbering exactly). A frame at or below the log's last LSN is a
+    /// duplicate (reconnection re-sends) and is skipped; a gap
+    /// (`lsn > last + 1`) fails the whole batch before anything is
+    /// staged. The accepted frames are staged, then fsynced once, so
+    /// every frame in [`ReplicatedAppend::fresh`] is durable when this
+    /// returns and served state applied from it is never ahead of disk.
+    pub fn append_replicated(&self, frames: Vec<(u64, WalRecord)>) -> Result<ReplicatedAppend> {
+        self.write_locked(|state| {
+            let mut last = state.wal.last_lsn();
+            let mut fresh = Vec::with_capacity(frames.len());
+            for (lsn, record) in frames {
+                if lsn <= last {
+                    continue;
+                }
+                if lsn > last + 1 {
+                    return Err(Error::Io(format!(
+                        "replication gap: got frame lsn {lsn}, log ends at {last}"
+                    )));
+                }
+                last = lsn;
+                fresh.push((lsn, record));
             }
-            WalRecord::RegisterQuery { query } => {
-                state
-                    .queries
-                    .insert(QueryKey::of(query).as_str().to_owned(), query.clone());
+            for (lsn, record) in &fresh {
+                let assigned = state.wal.stage(record)?;
+                if assigned != *lsn {
+                    return Err(Error::Io(format!(
+                        "replication lsn mismatch: wal assigned {assigned}, frame says {lsn}"
+                    )));
+                }
+                state.frames_since_snapshot += 1;
+                // Mirror the same bookkeeping the primary's sink methods
+                // keep, so a promoted replica snapshots the full
+                // query/tombstone state.
+                match record {
+                    WalRecord::Write {
+                        table,
+                        id,
+                        kind: quaestor_store::WriteKind::Delete,
+                        at,
+                        ..
+                    } => {
+                        state.tombstones.push((table.clone(), id.clone(), *at));
+                    }
+                    WalRecord::RegisterQuery { query } => {
+                        state
+                            .queries
+                            .insert(QueryKey::of(query).as_str().to_owned(), query.clone());
+                    }
+                    WalRecord::DeregisterQuery { key } => {
+                        state.queries.remove(key);
+                    }
+                    _ => {}
+                }
             }
-            WalRecord::DeregisterQuery { key } => {
-                state.queries.remove(key);
-            }
-            _ => {}
-        }
-        Ok(true)
+            let durable_lsn = state.wal.flush()?;
+            Ok(ReplicatedAppend { durable_lsn, fresh })
+        })
     }
 
     /// Currently registered (durable) queries, in no particular order.
@@ -467,10 +535,11 @@ impl DurabilityEngine {
     }
 
     fn append_record(&self, record: &WalRecord) -> Result<u64> {
-        let mut state = self.state.lock();
-        let lsn = state.wal.append(record)?;
-        state.frames_since_snapshot += 1;
-        Ok(lsn)
+        self.write_locked(|state| {
+            let lsn = state.wal.append(record)?;
+            state.frames_since_snapshot += 1;
+            Ok(lsn)
+        })
     }
 
     /// Log a query registration (mirrored into the live set so the next
@@ -480,35 +549,37 @@ impl DurabilityEngine {
     /// log with no information.
     pub fn log_register_query(&self, query: &Query) -> Result<u64> {
         let key = QueryKey::of(query).as_str().to_owned();
-        let mut state = self.state.lock();
-        if state.queries.contains_key(&key) {
-            return Ok(state.wal.last_lsn());
-        }
-        let lsn = state.wal.append(&WalRecord::RegisterQuery {
-            query: query.clone(),
-        })?;
-        state.frames_since_snapshot += 1;
-        state.queries.insert(key, query.clone());
-        Ok(lsn)
+        self.write_locked(|state| {
+            if state.queries.contains_key(&key) {
+                return Ok(state.wal.last_lsn());
+            }
+            let lsn = state.wal.append(&WalRecord::RegisterQuery {
+                query: query.clone(),
+            })?;
+            state.frames_since_snapshot += 1;
+            state.queries.insert(key, query.clone());
+            Ok(lsn)
+        })
     }
 
     /// Log a query eviction. Idempotent like
     /// [`log_register_query`](Self::log_register_query).
     pub fn log_deregister_query(&self, key: &QueryKey) -> Result<u64> {
-        let mut state = self.state.lock();
-        if state.queries.remove(key.as_str()).is_none() {
-            return Ok(state.wal.last_lsn());
-        }
-        let lsn = state.wal.append(&WalRecord::DeregisterQuery {
-            key: key.as_str().to_owned(),
-        })?;
-        state.frames_since_snapshot += 1;
-        Ok(lsn)
+        self.write_locked(|state| {
+            if state.queries.remove(key.as_str()).is_none() {
+                return Ok(state.wal.last_lsn());
+            }
+            let lsn = state.wal.append(&WalRecord::DeregisterQuery {
+                key: key.as_str().to_owned(),
+            })?;
+            state.frames_since_snapshot += 1;
+            Ok(lsn)
+        })
     }
 
     /// Force the group-commit buffer to disk; returns the durable LSN.
     pub fn flush(&self) -> Result<u64> {
-        self.state.lock().wal.flush()
+        self.write_locked(|state| state.wal.flush())
     }
 
     /// Whether the auto-snapshot threshold has been crossed — false
@@ -537,8 +608,7 @@ impl DurabilityEngine {
         // point is either in the tables we are about to sweep or in
         // frames ≤ lsn; writes racing the sweep have frames > lsn and
         // replay fine on top.
-        let (lsn, queries, tombstones) = {
-            let mut state = self.state.lock();
+        let (lsn, queries, tombstones) = self.write_locked(|state| -> Result<_> {
             let lsn = state.wal.flush()?;
             // Prune the tombstone mirror to the retention window
             // (measured in database time against the newest tombstone).
@@ -547,12 +617,12 @@ impl DurabilityEngine {
                 let cutoff = newest.saturating_sub(self.config.tombstone_retention_ms);
                 state.tombstones.retain(|(_, _, at)| *at >= cutoff);
             }
-            (
+            Ok((
                 lsn,
                 state.queries.values().cloned().collect::<Vec<_>>(),
                 state.tombstones.clone(),
-            )
-        };
+            ))
+        })?;
         let mut tables = Vec::new();
         for name in db.table_names() {
             let t = db.table(&name)?;
@@ -641,7 +711,7 @@ impl WriteSink for DurabilityEngine {
     /// Durability phase, called after the shard lock is released: one
     /// committer's fsync covers every LSN staged before it.
     fn commit(&self, ticket: u64) -> Result<()> {
-        self.state.lock().wal.commit(ticket)
+        self.write_locked(|state| state.wal.commit(ticket))
     }
 
     fn table_created(&self, name: &str) -> Result<()> {
@@ -956,15 +1026,24 @@ mod tests {
             DurabilityEngine::open(&dst, DurabilityConfig::default()).unwrap();
         drop(dst_rec);
         // Out-of-order first frame is a gap.
-        let (lsn3, rec3) = &frames[2];
-        let err = dst_engine.append_replicated(*lsn3, rec3).unwrap_err();
+        let err = dst_engine
+            .append_replicated(frames[2..3].to_vec())
+            .unwrap_err();
         assert!(err.to_string().contains("replication gap"), "got: {err}");
-        for (lsn, record) in &frames {
-            assert!(dst_engine.append_replicated(*lsn, record).unwrap());
+        for frame in &frames {
+            assert!(!dst_engine
+                .append_replicated(vec![frame.clone()])
+                .unwrap()
+                .fresh
+                .is_empty());
         }
         // Duplicate delivery is a no-op, not an error.
-        for (lsn, record) in frames.iter().take(3) {
-            assert!(!dst_engine.append_replicated(*lsn, record).unwrap());
+        for frame in frames.iter().take(3) {
+            assert!(dst_engine
+                .append_replicated(vec![frame.clone()])
+                .unwrap()
+                .fresh
+                .is_empty());
         }
         assert_eq!(dst_engine.last_lsn(), src_engine.last_lsn());
         assert_eq!(dst_engine.durable_lsn(), src_engine.last_lsn());
@@ -977,6 +1056,81 @@ mod tests {
         assert_eq!(meta.tombstones, vec![("posts".into(), "p0".into())]);
         std::fs::remove_dir_all(&src).unwrap();
         std::fs::remove_dir_all(&dst).unwrap();
+    }
+
+    #[test]
+    fn replicated_batch_rejects_gaps_whole_skips_duplicates_and_is_durable() {
+        let src = temp_dir("batch-src");
+        let dst = temp_dir("batch-dst");
+        {
+            let (db, _e) = durable_db(&src, DurabilityConfig::default());
+            let t = db.create_table("posts");
+            for i in 0..5 {
+                t.insert(&format!("p{i}"), doc! { "n" => i }).unwrap();
+            }
+        }
+        let (src_engine, _) = DurabilityEngine::open(&src, DurabilityConfig::default()).unwrap();
+        let frames = src_engine.read_frames_after(0, usize::MAX).unwrap();
+        assert_eq!(frames.len(), 6);
+        let cfg = DurabilityConfig {
+            fsync: crate::FsyncPolicy::OsDefault,
+            group_commit: 64,
+            ..DurabilityConfig::default()
+        };
+        let (dst_engine, _) = DurabilityEngine::open(&dst, cfg).unwrap();
+        // A gap at the head, and a gap inside the batch after a valid
+        // prefix: both rejected whole, with nothing staged.
+        let err = dst_engine
+            .append_replicated(frames[1..3].to_vec())
+            .unwrap_err();
+        assert!(err.to_string().contains("replication gap"), "got: {err}");
+        let holey = vec![frames[0].clone(), frames[1].clone(), frames[3].clone()];
+        let err = dst_engine.append_replicated(holey).unwrap_err();
+        assert!(err.to_string().contains("replication gap"), "got: {err}");
+        assert_eq!(dst_engine.last_lsn(), 0, "a rejected batch stages nothing");
+        // A batch lands whole and durable, whatever the fsync policy.
+        let batch = dst_engine.append_replicated(frames[..3].to_vec()).unwrap();
+        assert_eq!(batch.fresh, frames[..3].to_vec());
+        assert_eq!(batch.durable_lsn, 3);
+        assert_eq!(dst_engine.durable_lsn(), dst_engine.last_lsn());
+        // An overlapping re-send: the duplicates are skipped, the rest
+        // accepted.
+        let batch = dst_engine.append_replicated(frames[1..].to_vec()).unwrap();
+        assert_eq!(batch.fresh, frames[3..].to_vec());
+        assert_eq!(batch.durable_lsn, 6);
+        assert_eq!(dst_engine.durable_lsn(), dst_engine.last_lsn());
+        // All duplicates: nothing accepted, the ack stands.
+        let batch = dst_engine.append_replicated(frames.clone()).unwrap();
+        assert!(batch.fresh.is_empty());
+        assert_eq!(batch.durable_lsn, 6);
+        assert_eq!(
+            dst_engine.read_frames_after(0, usize::MAX).unwrap(),
+            frames,
+            "the replica's log is the primary's, frame for frame"
+        );
+        std::fs::remove_dir_all(&src).unwrap();
+        std::fs::remove_dir_all(&dst).unwrap();
+    }
+
+    #[test]
+    fn a_commit_wakes_a_parked_tailer() {
+        let dir = temp_dir("wake");
+        let (db, engine) = durable_db(&dir, DurabilityConfig::default());
+        let t = db.create_table("posts");
+        let seen = engine.await_written(0, Duration::ZERO);
+        assert_eq!(seen, engine.last_lsn());
+        let waited = std::thread::scope(|s| {
+            let tailer = s.spawn(|| {
+                let started = std::time::Instant::now();
+                let written = engine.await_written(seen, Duration::from_secs(30));
+                (written, started.elapsed())
+            });
+            t.insert("p1", doc! { "n" => 1 }).unwrap();
+            tailer.join().unwrap()
+        });
+        assert_eq!(waited.0, seen + 1);
+        assert!(waited.1 < Duration::from_secs(10), "took {:?}", waited.1);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

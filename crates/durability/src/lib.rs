@@ -37,5 +37,8 @@ pub mod wal;
 
 pub use codec::WalRecord;
 pub use config::{DurabilityConfig, FsyncPolicy};
-pub use engine::{truncate_above, DurabilityEngine, RecoveredMeta, Recovery, RecoveryReport};
+pub use engine::{
+    truncate_above, DurabilityEngine, RecoveredMeta, Recovery, RecoveryReport, ReplicatedAppend,
+};
 pub use snapshot::{SnapshotData, SnapshotRecord, SnapshotTable};
+pub use wal::TailCursor;

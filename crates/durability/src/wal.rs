@@ -163,72 +163,145 @@ pub fn scan(dir: &Path, first_lsn: u64) -> Result<LogScan> {
     })
 }
 
-/// Read up to `max` complete frames with LSN strictly above `after_lsn`
-/// from the segment files in `dir`, without any lock. This is the
-/// replication tailer's read path: the writer may be appending
-/// concurrently, so a torn frame at the end of the newest segment just
-/// means "caught up" — the tailer stops there and re-reads from the same
-/// cursor on its next poll.
-///
-/// Errors if the log no longer retains `after_lsn + 1` (compacted away):
-/// the caller cannot resume from that cursor and must re-seed.
+/// Read up to `max` complete frames with LSN strictly above `after_lsn`:
+/// [`TailCursor::read`] from a fresh cursor. Errors if the log no longer
+/// retains `after_lsn + 1` (compacted away).
 pub fn read_frames_after(dir: &Path, after_lsn: u64, max: usize) -> Result<Vec<(u64, WalRecord)>> {
-    let segments = list_segments(dir)?;
-    let mut out = Vec::new();
-    if segments.is_empty() || max == 0 {
-        return Ok(out);
-    }
-    let want = after_lsn + 1;
-    if segments[0].0 > want {
-        return Err(Error::Io(format!(
-            "wal tail read: frames from lsn {want} were compacted (oldest segment starts at {})",
-            segments[0].0
-        )));
-    }
-    // Skip segments wholly below the cursor: a segment is irrelevant
-    // when its successor starts at or below `want`.
-    let mut start_idx = 0;
-    for (i, window) in segments.windows(2).enumerate() {
-        if window[1].0 <= want {
-            start_idx = i + 1;
+    TailCursor::after(after_lsn).read(dir, max)
+}
+
+/// A replication tailer's position in the log: the next LSN it wants
+/// and, once it has read that far, the segment and byte offset where
+/// that LSN's frame starts. Each [`read`](Self::read) picks up at the
+/// offset, so a caught-up tailer reads only the bytes written since its
+/// last read instead of re-decoding the whole active segment.
+#[derive(Debug, Clone)]
+pub struct TailCursor {
+    /// LSN of the next frame to return.
+    next_lsn: u64,
+    /// `(segment start LSN, byte offset of next_lsn's frame)`; `None`
+    /// until a read has walked up to `next_lsn`.
+    at: Option<(u64, u64)>,
+}
+
+impl TailCursor {
+    /// A cursor whose first read returns the frame after `lsn`.
+    pub fn after(lsn: u64) -> TailCursor {
+        TailCursor {
+            next_lsn: lsn + 1,
+            at: None,
         }
     }
-    for (seg_start, path) in &segments[start_idx..] {
-        let buf = match std::fs::read(path) {
-            Ok(b) => b,
-            // Compaction may remove a segment between the listing and
-            // this read; the tailer retries from its cursor next poll.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
-            Err(e) => return Err(io_err("read segment for tail", e)),
-        };
-        let mut offset = 0usize;
-        let mut expected = *seg_start;
-        loop {
-            if out.len() >= max {
-                return Ok(out);
-            }
-            match read_frame(&buf, offset) {
-                FrameRead::Frame { lsn, record, size } => {
-                    if lsn != expected {
-                        return Err(Error::Io(format!(
-                            "wal tail read: frame lsn {lsn} in {}, expected {expected}",
-                            path.display()
-                        )));
-                    }
-                    if lsn >= want {
-                        out.push((lsn, record));
-                    }
-                    expected = lsn + 1;
-                    offset += size;
+
+    /// LSN of the last frame this cursor has returned (or started after).
+    pub fn last_lsn(&self) -> u64 {
+        self.next_lsn - 1
+    }
+
+    /// Read up to `max` complete frames past the cursor from the segment
+    /// files in `dir`, without any lock, and advance past them. The
+    /// writer may be appending concurrently, so a torn frame at the end
+    /// of the newest segment just means "caught up": the cursor stays
+    /// before it and the next read retries from there. CRCs and LSN
+    /// order are checked as in [`scan`], and the cursor follows segment
+    /// rotation.
+    ///
+    /// Errors if the log no longer retains the cursor's next LSN
+    /// (compacted away): the caller cannot resume and must re-seed.
+    pub fn read(&mut self, dir: &Path, max: usize) -> Result<Vec<(u64, WalRecord)>> {
+        // Listing first means every listed segment but the last was
+        // complete before any byte below is read.
+        let segments = list_segments(dir)?;
+        let mut out = Vec::new();
+        if segments.is_empty() || max == 0 {
+            return Ok(out);
+        }
+        let resumed = self.at.and_then(|(seg, offset)| {
+            Some((segments.iter().position(|(s, _)| *s == seg)?, offset))
+        });
+        // `expected` is the LSN of the frame at `offset`.
+        let (mut idx, mut offset, mut expected) = match resumed {
+            Some((idx, offset)) => (idx, offset, self.next_lsn),
+            None => {
+                if segments[0].0 > self.next_lsn {
+                    return Err(Error::Io(format!(
+                        "wal tail read: frames from lsn {} were compacted (oldest segment \
+                         starts at {})",
+                        self.next_lsn, segments[0].0
+                    )));
                 }
-                FrameRead::Eof => break,
-                // An incomplete frame mid-write: stop here, do not skip
-                // ahead into later segments.
-                FrameRead::BadTail(_) => return Ok(out),
+                // The newest segment starting at or below the cursor.
+                let idx = segments
+                    .iter()
+                    .rposition(|(s, _)| *s <= self.next_lsn)
+                    .unwrap_or(0);
+                (idx, 0, segments[idx].0)
             }
+        };
+        loop {
+            let (seg_start, path) = &segments[idx];
+            let buf = match read_from(path, offset) {
+                Ok(b) => b,
+                // Compaction may remove a segment between the listing and
+                // this read; the tailer retries from its cursor next time.
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
+                Err(e) => return Err(io_err("read segment for tail", e)),
+            };
+            let mut pos = 0usize;
+            let clean_end = loop {
+                if out.len() >= max {
+                    break false;
+                }
+                match read_frame(&buf, pos) {
+                    FrameRead::Frame { lsn, record, size } => {
+                        if lsn != expected {
+                            return Err(Error::Io(format!(
+                                "wal tail read: frame lsn {lsn} in {}, expected {expected}",
+                                path.display()
+                            )));
+                        }
+                        if lsn >= self.next_lsn {
+                            out.push((lsn, record));
+                            self.next_lsn = lsn + 1;
+                        }
+                        expected = lsn + 1;
+                        pos += size;
+                    }
+                    FrameRead::Eof => break true,
+                    // An incomplete frame mid-write: stop here, do not
+                    // skip ahead into later segments.
+                    FrameRead::BadTail(_) => break false,
+                }
+            };
+            offset += pos as u64;
+            if expected == self.next_lsn {
+                self.at = Some((*seg_start, offset));
+            }
+            if !clean_end || idx + 1 == segments.len() {
+                break;
+            }
+            idx += 1;
+            if segments[idx].0 != expected {
+                return Err(Error::Io(format!(
+                    "wal tail read: segment {} starts at lsn {}, expected {expected}",
+                    segments[idx].1.display(),
+                    segments[idx].0
+                )));
+            }
+            offset = 0;
         }
+        Ok(out)
     }
-    Ok(out)
+}
+
+/// The bytes of the file at `path` from byte `offset` to its end.
+fn read_from(path: &Path, offset: u64) -> std::io::Result<Vec<u8>> {
+    use std::io::{Read as _, Seek as _};
+    let mut file = File::open(path)?;
+    file.seek(std::io::SeekFrom::Start(offset))?;
+    let mut buf = Vec::new();
+    file.read_to_end(&mut buf)?;
+    Ok(buf)
 }
 
 /// Delete or cut back segment files so no frame with LSN above `lsn`
@@ -465,6 +538,12 @@ impl Wal {
     /// Highest LSN known fsynced to stable storage.
     pub fn durable(&self) -> u64 {
         self.durable_lsn
+    }
+
+    /// Highest LSN written out to the segment files, where tail readers
+    /// can see it.
+    pub fn written(&self) -> u64 {
+        self.written_lsn
     }
 
     /// Rotate to a fresh segment starting at `first_lsn`. The old segment
@@ -744,6 +823,114 @@ mod tests {
         // A cursor inside the retained range still works.
         let ok = read_frames_after(&dir, second_start - 1, 100).unwrap();
         assert_eq!(ok.first().unwrap().0, second_start);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn lsns(frames: &[(u64, WalRecord)]) -> Vec<u64> {
+        frames.iter().map(|(l, _)| *l).collect()
+    }
+
+    /// Frames big enough that a few dozen fill a 64 KiB segment.
+    fn big_rec(i: u64) -> WalRecord {
+        WalRecord::CreateTable {
+            table: format!("t{i}-{}", "x".repeat(1000)),
+        }
+    }
+
+    fn fast_cfg(max_segment_bytes: u64) -> DurabilityConfig {
+        DurabilityConfig {
+            fsync: FsyncPolicy::OsDefault,
+            group_commit: 1,
+            max_segment_bytes,
+            ..DurabilityConfig::default()
+        }
+    }
+
+    #[test]
+    fn cursor_tail_follows_rotation() {
+        let dir = temp_dir("cursor-rotate");
+        let mut wal = Wal::open(&dir, fast_cfg(64 << 10), 1).unwrap();
+        let mut cursor = TailCursor::after(0);
+        let mut seen = Vec::new();
+        for i in 0..300 {
+            wal.append(&big_rec(i)).unwrap();
+            if i % 7 == 0 {
+                seen.extend(cursor.read(&dir, usize::MAX).unwrap());
+            }
+        }
+        seen.extend(cursor.read(&dir, usize::MAX).unwrap());
+        assert!(
+            list_segments(&dir).unwrap().len() > 3,
+            "64 KiB segments must have rotated several times"
+        );
+        assert_eq!(lsns(&seen), (1..=300).collect::<Vec<_>>());
+        assert_eq!(cursor.last_lsn(), 300);
+        assert!(cursor.read(&dir, usize::MAX).unwrap().is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn cursor_returns_prefix_of_half_written_frame_then_the_rest() {
+        let dir = temp_dir("cursor-torn");
+        let mut wal = Wal::open(&dir, DurabilityConfig::default(), 1).unwrap();
+        for i in 0..5 {
+            wal.append(&rec(i)).unwrap();
+        }
+        drop(wal);
+        let mut frame = Vec::new();
+        encode_frame(6, &rec(5), &mut frame);
+        let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        let half = frame.len() / 2;
+        file.write_all(&frame[..half]).unwrap();
+        let mut cursor = TailCursor::after(0);
+        assert_eq!(lsns(&cursor.read(&dir, 100).unwrap()), [1, 2, 3, 4, 5]);
+        assert!(cursor.read(&dir, 100).unwrap().is_empty(), "still torn");
+        file.write_all(&frame[half..]).unwrap();
+        let rest = cursor.read(&dir, 100).unwrap();
+        assert_eq!(lsns(&rest), [6]);
+        assert!(matches!(&rest[0].1, WalRecord::CreateTable { table } if table == "t5"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn positioned_cursor_errors_once_compacted() {
+        let dir = temp_dir("cursor-gone");
+        let mut wal = Wal::open(&dir, fast_cfg(128), 1).unwrap();
+        for i in 0..40 {
+            wal.append(&rec(i)).unwrap();
+        }
+        let mut cursor = TailCursor::after(0);
+        assert_eq!(lsns(&cursor.read(&dir, 2).unwrap()), [1, 2]);
+        let second_start = list_segments(&dir).unwrap()[1].0;
+        wal.compact_below(second_start - 1).unwrap();
+        let err = cursor.read(&dir, 100).unwrap_err();
+        assert!(err.to_string().contains("compacted"), "got: {err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reads_chunked_by_max_equal_one_full_read() {
+        let dir = temp_dir("cursor-chunks");
+        let mut wal = Wal::open(&dir, fast_cfg(256), 1).unwrap();
+        for i in 0..60 {
+            wal.append(&rec(i)).unwrap();
+        }
+        let full = read_frames_after(&dir, 0, usize::MAX).unwrap();
+        assert_eq!(full.len(), 60);
+        for max in 1..=7 {
+            let mut cursor = TailCursor::after(0);
+            let mut chunked = Vec::new();
+            loop {
+                let got = cursor.read(&dir, max).unwrap();
+                assert!(got.len() <= max);
+                if got.is_empty() {
+                    break;
+                }
+                chunked.extend(got);
+            }
+            assert_eq!(chunked, full, "max {max}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

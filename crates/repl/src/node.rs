@@ -9,16 +9,19 @@
 //!
 //! * **Primary** ([`ReplNode::open_primary`]) — serves reads *and*
 //!   writes; every accepted replication connection gets a session thread
-//!   that tails the WAL via `DurabilityEngine::read_frames_after` and
-//!   ships frame batches, one batch in flight, advancing on the
-//!   replica's durable ack.
+//!   that tails the WAL with a `TailCursor` (reading only the bytes
+//!   written since its last read) and ships frame batches, one batch in
+//!   flight, advancing on the replica's durable ack. A caught-up session
+//!   parks until the durability engine reports newly written frames, so
+//!   shipping starts as soon as a commit hits the log; semi-sync writers
+//!   park until a session reports the ack that releases them.
 //! * **Replica** ([`ReplNode::open_replica`]) — serves reads (rejecting
 //!   writes with a recognizable `BadRequest`), while a follower thread
-//!   replays shipped frames: append to its own WAL through the
-//!   LSN-gated `append_replicated`, apply to served state through
-//!   `apply_replicated`, fsync, ack. The LSN gate is what makes
-//!   duplicate delivery and reconnection re-sends no-ops — a frame the
-//!   log refuses is not applied either.
+//!   replays shipped batches: stage the batch in its own WAL through the
+//!   LSN-gated `append_replicated`, fsync once, apply the accepted
+//!   frames to served state through `apply_replicated`, ack. The LSN
+//!   gate is what makes duplicate delivery and reconnection re-sends
+//!   no-ops — a frame the log refuses is not applied either.
 //!
 //! Replica lag is cache age: a replica's state is exactly the primary's
 //! state as of `durable_lsn`, so the paper's Expiring Bloom Filter bound
@@ -45,14 +48,15 @@ use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use quaestor_common::{lock_rank, Error, Result, SystemClock};
 use quaestor_core::{
     QuaestorServer, ReplRole, ReplicationStatus, Request, Response, ServerConfig, Service,
 };
-use quaestor_durability::{truncate_above, DurabilityConfig, DurabilityEngine};
+use quaestor_durability::{truncate_above, DurabilityConfig, DurabilityEngine, TailCursor};
 use quaestor_net::wire::{decode_frame, encode_frame, FrameDecode, FrameKind};
 use quaestor_net::NetServer;
+use quaestor_obs::{Counter, HistogramHandle};
 
 use crate::epoch::{load_lineage, store_lineage};
 use crate::protocol::{decode_batch, encode_batch, Ack, Hello, HelloAck, Lineage};
@@ -79,9 +83,10 @@ pub struct ReplConfig {
     pub durability: DurabilityConfig,
     /// Max WAL frames per shipped batch.
     pub batch_max: usize,
-    /// Socket read-timeout slice; also the primary's effective tail-poll
-    /// interval when a session is caught up, i.e. the floor on
-    /// replication latency.
+    /// Idle liveness slice: how long a blocked socket read, or a
+    /// caught-up session parked for new WAL frames, waits before checking
+    /// stop flags and whether the peer is still there. Shipping itself is
+    /// woken by commits, not by this timer.
     pub io_timeout: Duration,
     /// Follower reconnect delay after a failed or dropped session.
     pub reconnect_backoff: Duration,
@@ -151,6 +156,19 @@ impl FrameConn {
         let mut out = Vec::with_capacity(body.len() + 32);
         encode_frame(kind, 0, body, &mut out);
         self.sock.write_all(&out).map_err(|e| net_err("send", e))
+    }
+
+    /// Like [`recv`](Self::recv), but answers `Idle` at once when no
+    /// complete frame is buffered or readable.
+    fn poll_recv(&mut self) -> Result<Received> {
+        self.sock
+            .set_nonblocking(true)
+            .map_err(|e| net_err("set_nonblocking", e))?;
+        let got = self.recv();
+        self.sock
+            .set_nonblocking(false)
+            .map_err(|e| net_err("set_nonblocking", e))?;
+        got
     }
 
     fn recv(&mut self) -> Result<Received> {
@@ -267,6 +285,13 @@ pub struct ReplNode {
     /// [`refollow`](Self::refollow) after a failover.
     follow_target: Mutex<SocketAddr>,
     sessions: Mutex<Vec<Session>>,
+    /// Notified when a session's acked LSN advances or the node stops;
+    /// semi-sync writers park on it (paired with `sessions`).
+    ack_advanced: Condvar,
+    /// Time each semi-sync write spent in the gate (`repl.gate_wait_us`).
+    gate_wait_us: HistogramHandle,
+    /// Semi-sync writes whose gate timed out (`repl.gate_timeouts`).
+    gate_timeouts: Counter,
 }
 
 impl std::fmt::Debug for ReplNode {
@@ -402,6 +427,9 @@ impl ReplNode {
         let repl_addr = listener
             .local_addr()
             .map_err(|e| net_err("local_addr", e))?;
+        let registry = server.metrics().registry();
+        let gate_wait_us = registry.histogram("repl.gate_wait_us");
+        let gate_timeouts = registry.counter("repl.gate_timeouts");
         let node = Arc::new(ReplNode {
             dir,
             cfg,
@@ -442,6 +470,9 @@ impl ReplNode {
                 lock_rank::REPL_SESSIONS.0,
                 lock_rank::REPL_SESSIONS.1,
             ),
+            ack_advanced: Condvar::new(),
+            gate_wait_us,
+            gate_timeouts,
         });
         let net = NetServer::bind(
             "127.0.0.1:0",
@@ -604,42 +635,63 @@ impl ReplNode {
             join_not_self(handle);
         }
         let sessions = std::mem::take(&mut *self.sessions.lock());
+        // Release semi-sync writers parked in the gate: they see the
+        // shutdown flag and fail with `Closed`.
+        self.ack_advanced.notify_all();
         for s in &sessions {
             let _ = s.shared.sock.shutdown(Shutdown::Both);
         }
+        self.engine.wake_tailers();
         for s in sessions {
             join_not_self(s.handle);
         }
     }
 
     /// Block until `cfg.ack_replicas` replicas have durably acked `lsn`.
+    /// The writer parks on `ack_advanced` and is woken by the session
+    /// that records the releasing ack.
     fn wait_replicated(&self, lsn: u64) -> Result<()> {
         if self.cfg.ack_replicas == 0 {
             return Ok(());
         }
-        let deadline = Instant::now() + self.cfg.ack_timeout;
-        loop {
-            let acked = self
-                .sessions
-                .lock()
+        let started = Instant::now();
+        let deadline = started + self.cfg.ack_timeout;
+        let mut sessions = self.sessions.lock();
+        let outcome = loop {
+            let acked = sessions
                 .iter()
                 .filter(|s| s.shared.acked.load(Ordering::Acquire) >= lsn)
                 .count();
             if acked >= self.cfg.ack_replicas {
-                return Ok(());
+                break Ok(());
             }
             if self.shutdown.load(Ordering::SeqCst) {
-                return Err(Error::Closed("replication: node stopping".into()));
+                break Err(Error::Closed("replication: node stopping".into()));
             }
             if Instant::now() >= deadline {
-                return Err(Error::Net(format!(
+                self.gate_timeouts.inc();
+                break Err(Error::Net(format!(
                     "replication: lsn {lsn} not durably acked by {} replica(s) within {:?} \
                      (the write is applied and logged locally)",
                     self.cfg.ack_replicas, self.cfg.ack_timeout
                 )));
             }
-            std::thread::sleep(Duration::from_micros(500));
-        }
+            self.ack_advanced.wait_until(&mut sessions, deadline);
+        };
+        drop(sessions);
+        self.gate_wait_us
+            .record(started.elapsed().as_micros().try_into().unwrap_or(u64::MAX));
+        outcome
+    }
+
+    /// Record a replica's durable ack and wake the semi-sync writers it
+    /// may release.
+    fn note_ack(&self, shared: &SessionShared, durable_lsn: u64) {
+        shared.acked.fetch_max(durable_lsn, Ordering::AcqRel);
+        // Pass through the writers' lock so a writer between its check
+        // and its wait cannot miss this wake-up.
+        drop(self.sessions.lock());
+        self.ack_advanced.notify_all();
     }
 }
 
@@ -808,23 +860,27 @@ fn run_session(node: &Arc<ReplNode>, sock: TcpStream, shared: &SessionShared) ->
     conn.send(FrameKind::ReplHelloAck, &ack.encode())?;
     let stopping =
         || node.shutdown.load(Ordering::SeqCst) || node.role_state.lock().role != ReplRole::Primary;
-    let mut cursor = resume;
+    let mut cursor = TailCursor::after(resume);
+    let mut written = 0;
     loop {
         if stopping() {
             return Ok(());
         }
-        let frames = node.engine.read_frames_after(cursor, node.cfg.batch_max)?;
+        let frames = node.engine.read_tail(&mut cursor, node.cfg.batch_max)?;
         if frames.is_empty() {
-            // Caught up: the read timeout paces the tail poll. Stray
-            // acks (e.g. for a batch acked after we timed out waiting)
-            // still advance the counter.
-            match conn.recv()? {
+            // Caught up: park until a commit writes frames out (the idle
+            // slice only bounds how long a stop flag goes unnoticed),
+            // then check the socket without blocking. Stray acks (e.g.
+            // for a batch acked after we timed out waiting) still
+            // advance the counter.
+            written = node.engine.await_written(written, node.cfg.io_timeout);
+            match conn.poll_recv()? {
                 Received::Frame {
                     kind: FrameKind::ReplAck,
                     body,
                 } => {
                     let a = Ack::decode(&body)?;
-                    shared.acked.fetch_max(a.durable_lsn, Ordering::AcqRel);
+                    node.note_ack(shared, a.durable_lsn);
                 }
                 Received::Frame { kind, .. } => {
                     return Err(net_err(
@@ -850,11 +906,10 @@ fn run_session(node: &Arc<ReplNode>, sock: TcpStream, shared: &SessionShared) ->
         )?;
         drop(ship_span);
         let a = Ack::decode(&ack_body)?;
-        shared.acked.fetch_max(a.durable_lsn, Ordering::AcqRel);
+        node.note_ack(shared, a.durable_lsn);
         quaestor_obs::registry()
             .gauge("repl.lag_frames")
             .set(last.saturating_sub(a.durable_lsn));
-        cursor = last;
     }
 }
 
@@ -955,23 +1010,22 @@ fn run_follow(node: &Arc<ReplNode>, sock: TcpStream) -> Result<FollowExit> {
                 if node.role() == ReplRole::Primary {
                     return Ok(FollowExit::Stop);
                 }
-                for (lsn, record) in decode_batch(&body)? {
-                    // The LSN gate is the idempotency mechanism: a frame
-                    // the log refuses (duplicate delivery, reconnection
-                    // re-send) must not be applied either —
-                    // version-keyed replay alone would resurrect a
-                    // record whose delete came later. An out-of-order
-                    // LSN (a gap) errors here, dropping the session;
-                    // the reconnect handshake re-synchronizes.
-                    if node.engine.append_replicated(lsn, &record)? {
-                        node.server.apply_replicated(&record)?;
-                    }
+                // One fsync per batch, and only then apply: served state
+                // is never ahead of this replica's disk. The LSN gate is
+                // the idempotency mechanism: a frame the log refuses
+                // (duplicate delivery, reconnection re-send) is not
+                // applied either — version-keyed replay alone would
+                // resurrect a record whose delete came later. An
+                // out-of-order LSN (a gap) errors here, dropping the
+                // session; the reconnect handshake re-synchronizes.
+                let batch = node.engine.append_replicated(decode_batch(&body)?)?;
+                for (_, record) in &batch.fresh {
+                    node.server.apply_replicated(record)?;
                 }
-                let durable = node.engine.flush()?;
                 conn.send(
                     FrameKind::ReplAck,
                     &Ack {
-                        durable_lsn: durable,
+                        durable_lsn: batch.durable_lsn,
                     }
                     .encode(),
                 )?;
@@ -996,9 +1050,11 @@ mod tests {
     use quaestor_document::doc;
     use quaestor_durability::WalRecord;
 
+    /// A long idle slice: shipping must be woken by commits, so no test
+    /// may depend on this timer to make progress.
     fn cfg() -> ReplConfig {
         ReplConfig {
-            io_timeout: Duration::from_millis(10),
+            io_timeout: Duration::from_secs(2),
             reconnect_backoff: Duration::from_millis(20),
             ..ReplConfig::default()
         }
@@ -1077,6 +1133,80 @@ mod tests {
             replica.get_record("t", "b").is_ok(),
             "acked implies shipped"
         );
+        replica.kill();
+        primary.kill();
+    }
+
+    /// Shipping is driven by commits, not by the idle slice: sequential
+    /// semi-sync writes each take a round trip, not an `io_timeout`, and
+    /// a frame no client write produced (a query registration) ships
+    /// just as promptly.
+    #[test]
+    fn shipping_is_woken_by_commits_not_the_idle_slice() {
+        let pdir = scratch_dir("repl-wake-p");
+        let rdir = scratch_dir("repl-wake-r");
+        let mut pc = cfg();
+        pc.ack_replicas = 1;
+        let primary = ReplNode::open_primary(&pdir, pc).unwrap();
+        let replica = ReplNode::open_replica(&rdir, primary.repl_addr(), cfg()).unwrap();
+        primary.insert("t", "seed", doc! { "n" => 0 }).unwrap();
+        wait_until("replica catch-up", || caught_up(&primary, &replica));
+        let started = Instant::now();
+        for i in 0..20 {
+            primary
+                .insert("t", &format!("w{i}"), doc! { "n" => i })
+                .unwrap();
+        }
+        let writes = started.elapsed();
+        assert!(
+            writes < Duration::from_secs(1),
+            "20 semi-sync writes took {writes:?} (idle slice {:?})",
+            cfg().io_timeout
+        );
+        // A query registration is logged by the origin itself.
+        let before = primary.status().last_lsn;
+        let started = Instant::now();
+        let q = quaestor_query::Query::table("t").filter(quaestor_query::Filter::eq("n", 3));
+        primary.query(&q).unwrap();
+        assert!(primary.status().last_lsn > before, "registration logged");
+        wait_until("registration shipped", || caught_up(&primary, &replica));
+        let shipped = started.elapsed();
+        assert!(
+            shipped < cfg().io_timeout / 4,
+            "registration took {shipped:?} to reach the replica"
+        );
+        let registered = replica.server().durability().unwrap().registered_queries();
+        assert_eq!(registered, vec![q]);
+        replica.kill();
+        primary.kill();
+    }
+
+    /// The semi-sync gate is visible live: every wait lands in
+    /// `repl.gate_wait_us` and every timeout in `repl.gate_timeouts`,
+    /// served over `Request::Metrics` from the primary's client port.
+    #[test]
+    fn gate_waits_and_timeouts_are_served_as_metrics() {
+        let pdir = scratch_dir("repl-gate-p");
+        let rdir = scratch_dir("repl-gate-r");
+        let mut pc = cfg();
+        pc.ack_replicas = 1;
+        pc.ack_timeout = Duration::from_millis(100);
+        let primary = ReplNode::open_primary(&pdir, pc).unwrap();
+        assert!(primary.insert("t", "a", doc! { "n" => 1 }).is_err());
+        let replica = ReplNode::open_replica(&rdir, primary.repl_addr(), cfg()).unwrap();
+        wait_until("replica catch-up", || caught_up(&primary, &replica));
+        primary.insert("t", "b", doc! { "n" => 2 }).unwrap();
+        let remote = quaestor_net::RemoteService::connect(
+            primary.client_addr(),
+            quaestor_net::RemoteServiceConfig::default(),
+        )
+        .unwrap();
+        let snap = remote.node_metrics().unwrap();
+        assert_eq!(snap.counter("repl.gate_timeouts"), Some(1));
+        let waits = snap.histogram("repl.gate_wait_us").expect("gate histogram");
+        assert_eq!(waits.count, 2, "one timed-out wait, one released");
+        assert!(waits.max >= 100_000, "the timed-out wait spans ack_timeout");
+        drop(remote);
         replica.kill();
         primary.kill();
     }
