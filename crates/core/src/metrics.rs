@@ -54,6 +54,15 @@ pub struct ServerMetrics {
     pub query_card_estimated: Counter,
     /// Sum of actual result cardinalities over the same executed plans.
     pub query_card_actual: Counter,
+    /// InvaliDB registrations that (re)built a query's state from its
+    /// initial result: new queries, and active ones a write raced.
+    pub invalidb_registrations: Counter,
+    /// Origin reads of an active query whose maintained state was
+    /// current: no initial result evaluated, nothing rebuilt.
+    pub invalidb_registrations_skipped: Counter,
+    /// Registrations whose raced writes had partly fallen off the replay
+    /// ring; each response was invalidated as stale.
+    pub invalidb_replay_overruns: Counter,
     registry: Registry,
 }
 
@@ -79,6 +88,9 @@ impl Default for ServerMetrics {
             query_topk_short_circuits: registry.counter("server.query_topk_short_circuits"),
             query_card_estimated: registry.counter("server.query_card_estimated"),
             query_card_actual: registry.counter("server.query_card_actual"),
+            invalidb_registrations: registry.counter("invalidb.registrations"),
+            invalidb_registrations_skipped: registry.counter("invalidb.registrations_skipped"),
+            invalidb_replay_overruns: registry.counter("invalidb.replay_overruns"),
             registry,
         }
     }
@@ -117,6 +129,15 @@ impl ServerMetrics {
             ),
             ("query_card_estimated", self.query_card_estimated.get()),
             ("query_card_actual", self.query_card_actual.get()),
+            ("invalidb_registrations", self.invalidb_registrations.get()),
+            (
+                "invalidb_registrations_skipped",
+                self.invalidb_registrations_skipped.get(),
+            ),
+            (
+                "invalidb_replay_overruns",
+                self.invalidb_replay_overruns.get(),
+            ),
         ]
     }
 
@@ -153,8 +174,9 @@ mod tests {
         let m = ServerMetrics::default();
         m.writes.fetch_add(3, Ordering::Relaxed);
         let snap = m.snapshot();
-        assert_eq!(snap.len(), 18);
+        assert_eq!(snap.len(), 21);
         assert!(snap.contains(&("writes", 3)));
+        assert!(snap.contains(&("invalidb_registrations_skipped", 0)));
         assert!(snap.contains(&("query_full_scans", 0)));
         assert!(snap.contains(&("query_card_estimated", 0)));
         assert_eq!(m.origin_reads(), 0);

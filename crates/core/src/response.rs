@@ -89,10 +89,10 @@ pub fn id_list_body(ids: &[String]) -> Bytes {
 }
 
 /// ETag for a query result: a stable hash over `(id, version)` pairs.
-pub fn result_etag(pairs: impl Iterator<Item = (String, Version)>) -> Version {
+pub fn result_etag(pairs: impl Iterator<Item = (impl AsRef<str>, Version)>) -> Version {
     let mut acc = String::new();
     for (id, v) in pairs {
-        acc.push_str(&id);
+        acc.push_str(id.as_ref());
         acc.push(':');
         acc.push_str(&v.to_string());
         acc.push(';');

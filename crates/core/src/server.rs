@@ -7,7 +7,7 @@ use quaestor_bloom::{BloomFilter, PartitionedEbf};
 use quaestor_common::{ClockRef, Error, Result, SystemClock, Timestamp};
 use quaestor_document::{Document, Update, Value};
 use quaestor_durability::{DurabilityConfig, DurabilityEngine, WalRecord};
-use quaestor_invalidb::{InvaliDbCluster, Notification};
+use quaestor_invalidb::{InvaliDbCluster, Notification, Registration};
 use quaestor_query::{Query, QueryKey};
 use quaestor_store::{Database, IndexKind, WriteEvent};
 use quaestor_ttl::{
@@ -282,24 +282,19 @@ impl QuaestorServer {
         if admitted {
             self.db.create_table(&query.table);
             let mark = self.invalidb.ingest_mark();
-            let initial = if query.is_stateful() {
-                let mut unwindowed = query.clone();
-                unwindowed.limit = None;
-                unwindowed.offset = 0;
-                self.db.query(&unwindowed)?
-            } else {
-                self.db.query(&query)?
-            };
-            let table = query.table.clone();
-            match self.invalidb.register_query(query, initial, mark) {
-                Ok(_) => {
+            match self.register_with_invalidb(&query, || self.db.query(&unwindowed(&query)), mark) {
+                Ok(registration) => {
                     self.active.set_registered(&key, true);
                     // Warm EBF residency: caches may hold this query's
                     // pre-crash result, and the read ledger died with the
                     // old process. Assume the worst-case TTL so future
                     // invalidations of those copies reach the sketch.
-                    self.ebf
-                        .report_read(&table, key.as_str(), self.config.estimator.max_ttl_ms);
+                    self.ebf.report_read(
+                        &query.table,
+                        key.as_str(),
+                        self.config.estimator.max_ttl_ms,
+                    );
+                    self.apply_raced(&key, registration);
                     return Ok(());
                 }
                 Err(Error::Capacity(_)) => {}
@@ -533,8 +528,8 @@ impl QuaestorServer {
         if !admitted {
             // Served uncacheable: ttl 0, not registered anywhere.
             let body = object_list_body(&docs);
-            let etag = self.result_etag_of(query, &ids)?;
             let versions = self.versions_of(query, &ids)?;
+            let etag = result_etag(ids.iter().zip(versions.iter().copied()));
             return Ok(QueryResponse {
                 key,
                 body,
@@ -572,17 +567,24 @@ impl QuaestorServer {
             }
         };
 
-        // Register with InvaliDB (idempotent re-registration is fine).
-        // Stateful queries need the full unwindowed matching set.
-        let initial = if query.is_stateful() {
-            let mut unwindowed = query.clone();
-            unwindowed.limit = None;
-            unwindowed.offset = 0;
-            self.db.query(&unwindowed)?
-        } else {
-            docs.clone()
-        };
-        let raced = self.invalidb.register_query(query.clone(), initial, mark)?;
+        // Activate with InvaliDB. A query that is already active, with no
+        // write ingested since `mark`, keeps its maintained state (which
+        // InvaliDB keeps at each record's newest image whatever order
+        // concurrent writes arrive in): InvaliDB skips
+        // the initial result, so the store runs once per origin read. A
+        // new or raced query is seeded with the initial result — the full
+        // unwindowed matching set for stateful queries — and replayed.
+        let registration = self.register_with_invalidb(
+            query,
+            || {
+                if query.is_stateful() {
+                    self.db.query(&unwindowed(query))
+                } else {
+                    Ok(docs.clone())
+                }
+            },
+            mark,
+        )?;
         self.active.set_registered(&key, true);
         // Durable registration: recovery re-registers the query so its
         // cached copies keep being invalidated after a restart. (No-op
@@ -596,13 +598,11 @@ impl QuaestorServer {
 
         // Report the cacheable read, then handle any raced notifications
         // as regular invalidations (they arrived between evaluation and
-        // activation).
+        // activation; a replay-ring overrun invalidates the whole result).
         self.ebf.report_read(&query.table, key.as_str(), ttl_ms);
         self.active
             .on_origin_read(&key, ttl_ms, representation, now);
-        for n in raced {
-            self.apply_notification(&n);
-        }
+        self.apply_raced(&key, registration);
 
         // Per-record side effect: "all records in a result are inserted
         // into the cache as individual entries" (§6.2) — the server
@@ -624,8 +624,8 @@ impl QuaestorServer {
             Representation::ObjectList => object_list_body(&docs),
             Representation::IdList => id_list_body(&ids),
         };
-        let etag = self.result_etag_of(query, &ids)?;
         let versions = self.versions_of(query, &ids)?;
+        let etag = result_etag(ids.iter().zip(versions.iter().copied()));
         Ok(QueryResponse {
             key,
             body,
@@ -640,6 +640,8 @@ impl QuaestorServer {
         })
     }
 
+    /// Current version of each result id (0 for an id deleted since the
+    /// evaluation), from one table lookup.
     fn versions_of(&self, query: &Query, ids: &[String]) -> Result<Vec<u64>> {
         let t = self.db.table(&query.table)?;
         Ok(ids
@@ -648,12 +650,42 @@ impl QuaestorServer {
             .collect())
     }
 
-    fn result_etag_of(&self, query: &Query, ids: &[String]) -> Result<u64> {
-        let t = self.db.table(&query.table)?;
-        Ok(result_etag(ids.iter().map(|id| {
-            let v = t.get(id).map(|r| r.version).unwrap_or(0);
-            (id.clone(), v)
-        })))
+    /// The one InvaliDB registration entry point (origin reads and
+    /// recovery alike), counting whether the call rebuilt the query's
+    /// state or found it current.
+    fn register_with_invalidb(
+        &self,
+        query: &Query,
+        initial: impl FnOnce() -> Result<Vec<Arc<Document>>>,
+        mark: u64,
+    ) -> Result<Registration> {
+        let registration = self.invalidb.register_query(query, initial, mark)?;
+        match &registration {
+            Registration::Current => bump(&self.metrics.invalidb_registrations_skipped),
+            Registration::Installed { overrun, .. } => {
+                bump(&self.metrics.invalidb_registrations);
+                if *overrun {
+                    bump(&self.metrics.invalidb_replay_overruns);
+                }
+            }
+        }
+        Ok(registration)
+    }
+
+    /// Invalidate what raced a registration, after its read was reported:
+    /// each replayed notification, or the whole query when the replay
+    /// ring overran and some raced writes could not be replayed.
+    fn apply_raced(&self, key: &QueryKey, registration: Registration) {
+        let Registration::Installed { replayed, overrun } = registration else {
+            return;
+        };
+        for n in &replayed {
+            self.apply_notification(n);
+        }
+        if overrun {
+            self.ebf.invalidate(key.table(), key.as_str());
+            self.purge(key);
+        }
     }
 
     fn decide_representation(
@@ -790,7 +822,8 @@ impl QuaestorServer {
             .iter()
             .filter_map(|d| d.get("_id").and_then(Value::as_str).map(str::to_owned))
             .collect();
-        self.result_etag_of(query, &ids)
+        let versions = self.versions_of(query, &ids)?;
+        Ok(result_etag(ids.iter().zip(versions)))
     }
 
     /// Number of actively matched (cached) queries.
@@ -807,6 +840,16 @@ impl QuaestorServer {
     pub fn ebf(&self) -> &PartitionedEbf {
         &self.ebf
     }
+}
+
+/// `query` without its window: stateful queries seed InvaliDB with the
+/// full matching set, which it keeps ordered to maintain the window
+/// itself. A stateless query is its own unwindowed form.
+fn unwindowed(query: &Query) -> Query {
+    let mut unwindowed = query.clone();
+    unwindowed.limit = None;
+    unwindowed.offset = 0;
+    unwindowed
 }
 
 fn doc_body(doc: &Document) -> bytes::Bytes {
@@ -1226,5 +1269,112 @@ mod tests {
             .unwrap();
         let (flat, _) = s.ebf_snapshot();
         assert!(flat.contains(QueryKey::record("posts", "p1").as_str().as_bytes()));
+    }
+
+    /// Store evaluations so far: every executed plan records exactly one
+    /// access path.
+    fn store_evaluations(s: &QuaestorServer) -> u64 {
+        let (probes, ranges, fulls, _) = s.database().query_stats().snapshot();
+        probes + ranges + fulls
+    }
+
+    #[test]
+    fn active_sorted_query_costs_one_store_evaluation_per_origin_read() {
+        use quaestor_query::Order;
+        let (s, _) = server();
+        for i in 0..6 {
+            s.insert("posts", &format!("p{i}"), doc! { "score" => i })
+                .unwrap();
+        }
+        let q = Query::table("posts")
+            .filter(Filter::True)
+            .sort_by("score", Order::Desc)
+            .limit(2);
+        // A new sorted query runs the store twice: once for the response,
+        // once unwindowed to seed InvaliDB.
+        let before = store_evaluations(&s);
+        let first = s.query(&q).unwrap();
+        assert_eq!(store_evaluations(&s), before + 2);
+        assert_eq!(s.metrics_raw().invalidb_registrations.get(), 1);
+        // Once active, with no write in between, it runs the store once
+        // and InvaliDB keeps its maintained state.
+        let before = store_evaluations(&s);
+        let second = s.query(&q).unwrap();
+        assert_eq!(store_evaluations(&s), before + 1);
+        assert_eq!(s.metrics_raw().invalidb_registrations.get(), 1);
+        assert_eq!(s.metrics_raw().invalidb_registrations_skipped.get(), 1);
+        assert_eq!(second.ids, first.ids);
+        assert_eq!(second.etag, first.etag);
+        // The maintained state still tracks the window.
+        s.update("posts", "p0", &Update::new().set("score", 99))
+            .unwrap();
+        let (flat, _) = s.ebf_snapshot();
+        assert!(flat.contains(first.key.as_str().as_bytes()));
+    }
+
+    #[test]
+    fn write_between_mark_and_registration_is_replayed_as_an_invalidation() {
+        let (s, _) = server();
+        s.insert("posts", "p1", tagged("p1", &["x"])).unwrap();
+        let q = Query::table("posts").filter(Filter::contains("tags", "x"));
+        let key = QueryKey::of(&q);
+        s.query(&q).unwrap();
+        // An origin read takes its mark and evaluates; a write is
+        // ingested before it registers.
+        let mark = s.invalidb.ingest_mark();
+        let stale = s.database().query(&q).unwrap();
+        s.insert("posts", "p2", tagged("p2", &["x"])).unwrap();
+        let invalidations = s.metrics_raw().query_invalidations.get();
+        let mut evaluated = false;
+        let registration = s
+            .register_with_invalidb(
+                &q,
+                || {
+                    evaluated = true;
+                    Ok(stale)
+                },
+                mark,
+            )
+            .unwrap();
+        assert!(evaluated, "a raced registration takes the full path");
+        assert!(
+            matches!(&registration, Registration::Installed { replayed, overrun: false }
+                if replayed.len() == 1),
+            "{registration:?}"
+        );
+        s.apply_raced(&key, registration);
+        assert_eq!(
+            s.metrics_raw().query_invalidations.get(),
+            invalidations + 1,
+            "the replayed write invalidates the raced response"
+        );
+    }
+
+    #[test]
+    fn replay_overrun_invalidates_the_raced_response() {
+        let clock = ManualClock::new();
+        let mut config = ServerConfig::default();
+        config.invalidb.replay_buffer = 2;
+        let s = QuaestorServer::new(Database::with_clock(clock.clone()), config, clock);
+        s.insert("posts", "p1", tagged("p1", &["x"])).unwrap();
+        let q = Query::table("posts").filter(Filter::contains("tags", "x"));
+        let key = QueryKey::of(&q);
+        let resp = s.query(&q).unwrap();
+        // Three writes race the next evaluation; the ring keeps two. None
+        // of them touches the result, so only the overrun can make the
+        // key stale.
+        let mark = s.invalidb.ingest_mark();
+        let stale = s.database().query(&q).unwrap();
+        for i in 0..3 {
+            s.insert("other", &format!("o{i}"), doc! { "i" => i })
+                .unwrap();
+        }
+        let (flat, _) = s.ebf_snapshot();
+        assert!(!flat.contains(resp.key.as_str().as_bytes()));
+        let registration = s.register_with_invalidb(&q, || Ok(stale), mark).unwrap();
+        assert_eq!(s.metrics_raw().invalidb_replay_overruns.get(), 1);
+        s.apply_raced(&key, registration);
+        let (flat, _) = s.ebf_snapshot();
+        assert!(flat.contains(resp.key.as_str().as_bytes()));
     }
 }

@@ -35,7 +35,7 @@ pub mod matching;
 pub mod pipeline;
 pub mod sorted;
 
-pub use cluster::{ClusterConfig, InvaliDbCluster};
+pub use cluster::{ClusterConfig, InvaliDbCluster, Registration};
 pub use event::{Notification, NotificationEvent};
 pub use matching::MatchingNode;
 pub use pipeline::{PipelineConfig, PipelineReport, ThreadedPipeline};

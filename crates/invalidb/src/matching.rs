@@ -248,6 +248,16 @@ impl MatchingNode {
     /// ("Is Match? / Was Match?", Figure 6), consulting only the predicate
     /// index's candidates unless this node is in linear reference mode.
     pub fn process(&mut self, event: &WriteEvent) -> Vec<Notification> {
+        self.ingest(event, false)
+    }
+
+    /// [`process`](Self::process), or, for a `superseded` write (one that
+    /// arrived after a newer write to the same record), only its
+    /// notifications: the maintained state already reflects the newer
+    /// image and stays as it is, but a result evaluated in between may
+    /// hold this image, so every query it would move in or out of (or
+    /// change within) is notified.
+    pub fn ingest(&mut self, event: &WriteEvent, superseded: bool) -> Vec<Notification> {
         let mut out = Vec::new();
         let Some(table) = self.tables.get_mut(event.table.as_ref()) else {
             return out;
@@ -304,6 +314,8 @@ impl MatchingNode {
             let is = event.kind != WriteKind::Delete
                 && matcher::matches(&reg.query.filter, &event.image);
             let notify = match (was, is) {
+                (false, true) if superseded => Some(NotificationEvent::Add),
+                (true, false) if superseded => Some(NotificationEvent::Remove),
                 (false, true) => {
                     reg.matching.insert(event.id.clone());
                     table

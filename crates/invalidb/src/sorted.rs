@@ -82,6 +82,15 @@ impl SortedQueryState {
     /// Process one after-image; emits events describing how the *visible
     /// window* changed.
     pub fn process(&mut self, event: &WriteEvent) -> Vec<Notification> {
+        self.ingest(event, false)
+    }
+
+    /// [`process`](Self::process), or, for a `superseded` write (one that
+    /// arrived after a newer write to the same record), only its events:
+    /// the window the image *would* produce is compared with the current
+    /// one, and the state is left as it is (it already reflects the newer
+    /// image).
+    pub fn ingest(&mut self, event: &WriteEvent, superseded: bool) -> Vec<Notification> {
         if event.table.as_ref() != self.query.table {
             return Vec::new();
         }
@@ -94,18 +103,26 @@ impl SortedQueryState {
             .position(|d| doc_id(d) == event.id.as_ref());
         let is_match =
             event.kind != WriteKind::Delete && matcher::matches(&self.query.filter, &event.image);
-        if let Some(pos) = old_pos {
-            self.matches.remove(pos);
-        }
+        let old_doc = old_pos.map(|pos| self.matches.remove(pos));
+        let mut inserted_at = None;
         if is_match {
             let doc = event.image.clone();
             let insert_at = self.matches.partition_point(|d| {
                 matcher::compare_docs(d, &doc, &self.query.sort) == std::cmp::Ordering::Less
             });
             self.matches.insert(insert_at, doc);
+            inserted_at = Some(insert_at);
         }
 
         let after_window = self.window_ids();
+        if superseded {
+            if let Some(at) = inserted_at {
+                self.matches.remove(at);
+            }
+            if let (Some(pos), Some(doc)) = (old_pos, old_doc) {
+                self.matches.insert(pos, doc);
+            }
+        }
         let mut out = Vec::new();
         let was_visible = Self::position_in_window(&before_window, &event.id);
         let is_visible = Self::position_in_window(&after_window, &event.id);

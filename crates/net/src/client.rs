@@ -2,7 +2,9 @@
 //! that makes a [`NetServer`](crate::NetServer) indistinguishable from a
 //! local `Arc<dyn Service>`.
 //!
-//! * **Pooling** — `pool_size` connections, picked round-robin per call.
+//! * **Pooling** — `pool_size` connections; each call goes to the one
+//!   with the fewest calls in flight (least-loaded), so a fast call does
+//!   not queue behind a slow one while another connection is idle.
 //!   Concurrent callers naturally pipeline: many requests can be in
 //!   flight on one connection, correlated by request id.
 //! * **Demultiplexing** — each connection owns a reader thread that
@@ -39,9 +41,10 @@ use crate::wire::{self, FrameDecode, FrameKind};
 /// Tunables for a [`RemoteService`].
 #[derive(Debug, Clone)]
 pub struct RemoteServiceConfig {
-    /// Number of pooled connections. Calls are spread round-robin; any
-    /// number of calls can be in flight per connection (pipelining), so
-    /// this bounds sockets, not concurrency.
+    /// Number of pooled connections. Each call goes to the connection
+    /// with the fewest calls in flight (least-loaded); any number of
+    /// calls can be in flight per connection (pipelining), so this bounds
+    /// sockets, not concurrency.
     pub pool_size: usize,
     /// TCP connect timeout per attempt.
     pub connect_timeout: Duration,
@@ -118,7 +121,34 @@ struct Conn {
     stream: TcpStream,
     pending: Mutex<FxHashMap<u64, Sender<Result<WireResponse>>>>,
     alive: AtomicBool,
+    /// Calls currently using this connection (see [`InFlight`]); the
+    /// pool's load measure.
+    in_flight: AtomicUsize,
     latency_us: Mutex<Histogram>,
+}
+
+/// One call's claim on a connection: counts toward its `in_flight` load
+/// from pick to drop.
+struct InFlight(Arc<Conn>);
+
+impl InFlight {
+    fn new(conn: Arc<Conn>) -> InFlight {
+        conn.in_flight.fetch_add(1, Ordering::Relaxed);
+        InFlight(conn)
+    }
+}
+
+impl std::ops::Deref for InFlight {
+    type Target = Conn;
+    fn deref(&self) -> &Conn {
+        &self.0
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        self.0.in_flight.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 impl Conn {
@@ -252,6 +282,7 @@ impl RemoteService {
                 lock_rank::NET_CLIENT_PENDING.1,
             ),
             alive: AtomicBool::new(true),
+            in_flight: AtomicUsize::new(0),
             latency_us: Mutex::with_rank(
                 Histogram::new(),
                 lock_rank::NET_CLIENT_LATENCY.0,
@@ -268,8 +299,15 @@ impl RemoteService {
         Ok(conn)
     }
 
-    /// Round-robin to a live connection, reconnecting its slot with
+    /// Claim the least-loaded connection, reconnecting its slot with
     /// exponential backoff while the deadline allows.
+    ///
+    /// Load is the number of calls in flight; an empty or dead slot
+    /// counts as idle (it is reconnected on the spot). The scan starts at
+    /// a rotating cursor so ties still spread round-robin, and takes the
+    /// slot locks one at a time. The loads are a snapshot, so two racing
+    /// callers may pick the same slot: the pick is a heuristic, and any
+    /// connection serves any call.
     ///
     /// The slot mutex is held only for the check-and-install moments,
     /// never across a connect attempt or a backoff sleep — callers that
@@ -277,8 +315,25 @@ impl RemoteService {
     /// `latency_histogram` never stall behind a retry loop). If two
     /// callers race to repopulate a slot, the loser's connection is torn
     /// down and the winner's is shared.
-    fn get_conn(&self, deadline: Instant) -> Result<Arc<Conn>> {
-        let idx = self.next_slot.fetch_add(1, Ordering::Relaxed) % self.slots.len();
+    fn get_conn(&self, deadline: Instant) -> Result<InFlight> {
+        let n = self.slots.len();
+        let start = self.next_slot.fetch_add(1, Ordering::Relaxed) % n;
+        let mut idx = start;
+        let mut least = usize::MAX;
+        for i in (start..start + n).map(|i| i % n) {
+            let load = match &*self.slots[i].lock() {
+                Some(conn) if conn.alive.load(Ordering::Acquire) => {
+                    conn.in_flight.load(Ordering::Relaxed)
+                }
+                _ => 0,
+            };
+            if load < least {
+                (idx, least) = (i, load);
+                if load == 0 {
+                    break;
+                }
+            }
+        }
         let slot = &self.slots[idx];
         let mut backoff = self.config.reconnect_backoff;
         loop {
@@ -286,7 +341,7 @@ impl RemoteService {
                 let mut guard = slot.lock();
                 if let Some(conn) = &*guard {
                     if conn.alive.load(Ordering::Acquire) {
-                        return Ok(conn.clone());
+                        return Ok(InFlight::new(conn.clone()));
                     }
                     conn.teardown();
                     self.retire_latency(conn);
@@ -301,13 +356,13 @@ impl RemoteService {
                             // Someone repopulated the slot while we were
                             // connecting; share theirs, discard ours.
                             conn.teardown();
-                            return Ok(existing.clone());
+                            return Ok(InFlight::new(existing.clone()));
                         }
                         existing.teardown();
                         self.retire_latency(existing);
                     }
                     *guard = Some(conn.clone());
-                    return Ok(conn);
+                    return Ok(InFlight::new(conn));
                 }
                 Err(e) => {
                     let delay = self.jittered(backoff);

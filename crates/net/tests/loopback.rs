@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use quaestor_common::{Error, ManualClock, Result};
 use quaestor_core::{QuaestorServer, Request, Response, Service, ServiceExt};
 use quaestor_document::{doc, Update, Value};
-use quaestor_net::{NetServer, RemoteService, RemoteServiceConfig};
+use quaestor_net::{NetServer, NetServerConfig, RemoteService, RemoteServiceConfig};
 use quaestor_query::{Filter, Query, QueryKey};
 
 fn serve() -> (NetServer, Arc<RemoteService>) {
@@ -386,5 +386,74 @@ fn latency_histogram_merges_across_connections() {
     // Histories survive connection teardown (merged into `retired`).
     svc.disconnect_all();
     assert_eq!(svc.latency_histogram().count(), 30);
+    server.shutdown();
+}
+
+/// Blocks `Flush` until released (announcing that it has started) and
+/// answers everything else at once: a slow scan next to fast reads.
+struct OneSlowRequest {
+    entered: crossbeam::channel::Sender<()>,
+    release: crossbeam::channel::Receiver<()>,
+}
+
+impl Service for OneSlowRequest {
+    fn call(&self, req: Request) -> Result<Response> {
+        if matches!(req, Request::Flush) {
+            let _ = self.entered.send(());
+            let _ = self.release.recv_timeout(Duration::from_secs(30));
+        }
+        Ok(Response::Flushed { lsn: 0 })
+    }
+}
+
+#[test]
+fn fast_calls_avoid_the_connection_a_slow_call_occupies() {
+    let (entered_tx, entered_rx) = crossbeam::channel::unbounded();
+    let (release_tx, release_rx) = crossbeam::channel::unbounded();
+    // Two shards, so the pool's two connections land on different event
+    // loops and a wedged handler stalls only its own connection.
+    let server = NetServer::bind_with(
+        "127.0.0.1:0",
+        Arc::new(OneSlowRequest {
+            entered: entered_tx,
+            release: release_rx,
+        }),
+        NetServerConfig {
+            shards: 2,
+            ..Default::default()
+        },
+    )
+    .expect("bind");
+    let svc = RemoteService::connect(
+        server.local_addr(),
+        RemoteServiceConfig {
+            pool_size: 2,
+            request_timeout: Duration::from_secs(5),
+            ..Default::default()
+        },
+    )
+    .expect("connect");
+    let slow = {
+        let svc = svc.clone();
+        std::thread::spawn(move || svc.call(Request::Flush))
+    };
+    entered_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the slow call reaches its handler");
+    // While it is in flight, two fast calls from other threads must not
+    // queue behind it. (Round-robin would put one of them on its
+    // connection, where it would wait for the release — or time out.)
+    for _ in 0..2 {
+        let svc = svc.clone();
+        let fast = std::thread::spawn(move || svc.call(Request::Metrics));
+        assert!(
+            matches!(fast.join().unwrap(), Ok(Response::Flushed { .. })),
+            "a fast call completes while the slow one is in flight"
+        );
+    }
+    assert!(!slow.is_finished(), "the slow call is still held");
+    release_tx.send(()).unwrap();
+    assert!(matches!(slow.join().unwrap(), Ok(Response::Flushed { .. })));
+    assert_eq!(server.connections_accepted(), 2);
     server.shutdown();
 }

@@ -275,6 +275,11 @@ pub struct ReplNode {
     /// Set when the follower found its live state on an abandoned
     /// timeline (see [`FollowExit::Diverged`]).
     diverged: AtomicBool,
+    /// Highest replicated LSN the served state reflects: the recovered
+    /// log at open, then each shipped batch once applied. A replica syncs
+    /// a batch before applying it, so this trails `durable_lsn` for the
+    /// length of one apply.
+    applied_lsn: AtomicU64,
     repl_addr: SocketAddr,
     client_addr: OnceLock<SocketAddr>,
     net_slot: Mutex<Option<NetServer>>,
@@ -430,6 +435,7 @@ impl ReplNode {
         let registry = server.metrics().registry();
         let gate_wait_us = registry.histogram("repl.gate_wait_us");
         let gate_timeouts = registry.counter("repl.gate_timeouts");
+        let applied_lsn = engine.durable_lsn();
         let node = Arc::new(ReplNode {
             dir,
             cfg,
@@ -442,6 +448,7 @@ impl ReplNode {
             ),
             shutdown: AtomicBool::new(false),
             diverged: AtomicBool::new(false),
+            applied_lsn: AtomicU64::new(applied_lsn),
             repl_addr,
             client_addr: OnceLock::new(),
             net_slot: Mutex::with_rank(None, lock_rank::REPL_THREADS.0, lock_rank::REPL_THREADS.1),
@@ -545,6 +552,15 @@ impl ReplNode {
             last_lsn: self.engine.last_lsn(),
             durable_lsn: self.engine.durable_lsn(),
         }
+    }
+
+    /// Highest replicated LSN whose records this node's reads reflect
+    /// (a primary's own writes do not move it). On a replica it reaches
+    /// `status().durable_lsn` only once the synced batch is applied: wait
+    /// on this, not on the durable LSN, before reading a caught-up
+    /// replica.
+    pub fn applied_lsn(&self) -> u64 {
+        self.applied_lsn.load(Ordering::Acquire)
     }
 
     /// Highest LSN durably acked by any connected replica session —
@@ -1022,6 +1038,8 @@ fn run_follow(node: &Arc<ReplNode>, sock: TcpStream) -> Result<FollowExit> {
                 for (_, record) in &batch.fresh {
                     node.server.apply_replicated(record)?;
                 }
+                node.applied_lsn
+                    .fetch_max(batch.durable_lsn, Ordering::Release);
                 conn.send(
                     FrameKind::ReplAck,
                     &Ack {
@@ -1069,7 +1087,7 @@ mod tests {
     }
 
     fn caught_up(primary: &ReplNode, replica: &ReplNode) -> bool {
-        replica.status().durable_lsn == primary.status().last_lsn
+        replica.applied_lsn() == primary.status().last_lsn
     }
 
     #[test]

@@ -348,7 +348,7 @@ pub fn kill_primary_failover(dir: &Path, config: FailoverConfig) -> FailoverRepo
     let deadline = Instant::now() + Duration::from_secs(15);
     let mut rejoined_caught_up = false;
     while Instant::now() < deadline {
-        if rejoined.status().durable_lsn == elected.status().last_lsn {
+        if rejoined.applied_lsn() == elected.status().last_lsn {
             rejoined_caught_up = true;
             break;
         }

@@ -223,7 +223,7 @@ proptest! {
             }
             current[i] = Some(with_id);
         }
-        cluster.register_query(q, seeded, cluster.ingest_mark()).unwrap();
+        cluster.register_query(&q, || Ok(seeded), cluster.ingest_mark()).unwrap();
 
         let mut seq = 100u64;
         for (slot, newdoc) in updates {

@@ -465,3 +465,33 @@ fn metrics_request_snapshots_the_unified_registry_of_a_remote_node() {
     assert!(text.contains("counter server.writes 3"), "{text}");
     server.shutdown();
 }
+
+#[test]
+fn repeated_identical_queries_reuse_the_active_invalidb_registration() {
+    // A loopback node serves the same sorted query four times with no
+    // write in between: only the first registers it with InvaliDB, the
+    // rest find its maintained state current — and say so over
+    // `Request::Metrics`.
+    let origin = QuaestorServer::with_defaults(ManualClock::new());
+    let server = quaestor::net::NetServer::bind("127.0.0.1:0", origin).expect("bind loopback");
+    let remote = RemoteService::connect(server.local_addr(), RemoteServiceConfig::default())
+        .expect("connect loopback");
+    let svc: &dyn Service = &*remote;
+    for i in 0..5 {
+        svc.insert("t", &format!("r{i}"), doc! { "i" => i })
+            .unwrap();
+    }
+    let q = Query::table("t")
+        .filter(Filter::True)
+        .sort_by("i", Order::Desc)
+        .limit(2);
+    let first = svc.query(&q).unwrap();
+    for _ in 0..3 {
+        assert_eq!(svc.query(&q).unwrap().ids, first.ids);
+    }
+    let snap = svc.node_metrics().expect("metrics over the wire");
+    assert_eq!(snap.counter("invalidb.registrations"), Some(1));
+    assert_eq!(snap.counter("invalidb.registrations_skipped"), Some(3));
+    assert_eq!(snap.counter("invalidb.replay_overruns"), Some(0));
+    server.shutdown();
+}
